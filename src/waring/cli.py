@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .decompose import (
     DecompositionError,
@@ -137,8 +136,7 @@ def _cmd_decompose(args) -> int:
     else:
         raise CliError(f"unknown mode {mode!r}")
     payload = dec.to_json()
-    if args.verbose:
-        payload["mode"] = mode
+    payload["mode"] = mode
     _emit_json(args, payload)
     return EXIT_OK
 
@@ -179,13 +177,13 @@ def _matrix_payload(args):
                 raise CliError(
                     f"degree {form.degree} admits no twist with q={args.q}"
                 )
-            m = q_twisted_flattening(form, p, args.q, seed=args.seed)
+            m = q_twisted_flattening(form, p, args.q)
             meta = {"p": p, "q": args.q}
         else:
             if form.degree % 2 or form.degree < 4:
                 raise CliError("symmetric twisted flattening needs even degree >= 4")
             p = (form.degree - 2) // 2
-            m = symmetric_twisted_flattening(form, p, seed=args.seed)
+            m = symmetric_twisted_flattening(form, p)
             meta = {"p": p}
     else:
         raise CliError(f"unknown matrix kind {kind!r}")
@@ -221,7 +219,6 @@ def _cmd_degree(args) -> int:
         return EXIT_OK
     report = secant_dim(args.n, args.d, args.r)
     known = known_secant_degree(args.n, args.d, args.r)
-    ambient = report.expected_dim if report.actual_dim is None else None
     payload = {
         "expected_dim": report.expected_dim,
         "actual_dim": report.actual_dim,
@@ -260,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", help="polynomial JSON file, '-', inline JSON, or inline text")
             p.add_argument("--nvars", type=int, help="variable count for inline text input")
-        p.add_argument("--seed", type=int, default=0, help="seed for any randomized internals")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("certify", help="run the strongest known rank tests against sigma_r")
     common(p)
@@ -303,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="projective dimension n (n+1 variables)")
     p.add_argument("--d", type=int)
     p.add_argument("--r", type=int)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random draw")
     p.add_argument("--height", type=int, default=10)
     p.add_argument("--convention", choices=("monomial", "tensor"), default="monomial")
     p.set_defaults(func=_cmd_gen)

@@ -297,30 +297,15 @@ class ExactMatrix:
         return x
 
     def inverse(self) -> "ExactMatrix":
-        """Exact inverse via fraction-free Gauss-Jordan on integer rows.
+        """Exact inverse: the right half of the rref of [A | I].
 
-        Rows are scaled to integers first (which scales the inverse's
-        columns back at the end); the integer sweep produces det * A^-1,
-        verified on probe vectors, with a rational-elimination fallback.
+        Raises ValueError when the matrix is singular.
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         if n == 0:
             return ExactMatrix([])
-        int_rows, scales = self._integer_rows()
-        result = _ff_gauss_jordan_inverse(int_rows)
-        if result is not None:
-            det, right = result
-            inv = ExactMatrix(
-                [
-                    [Fraction(right[i][j] * scales[j], det) for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-            if self._verify_inverse(inv):
-                return inv
-        # fallback: plain rational elimination (always exact)
         aug = ExactMatrix(
             [
                 list(self.rows[i]) + [1 if j == i else 0 for j in range(n)]
@@ -331,15 +316,6 @@ class ExactMatrix:
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return ExactMatrix([row[n:] for row in m[:n]])
-
-    def _verify_inverse(self, inv: "ExactMatrix") -> bool:
-        n = self.nrows
-        for probe in range(3):
-            v = [((i * 2654435761 + probe * 40503) % 1000) + 1 for i in range(n)]
-            w = inv.mat_vec(self.mat_vec(v))
-            if any(x != y for x, y in zip(w, v)):
-                return False
-        return True
 
     def pfaffian(self) -> Fraction:
         """Exact Pfaffian of an even-dimensional skew-symmetric matrix.
@@ -410,64 +386,3 @@ class ExactMatrix:
     def to_float_rows(self) -> list[list[float]]:
         return [[float(x) for x in r] for r in self.rows]
 
-
-def _ff_gauss_jordan_inverse(a: list[list[int]]) -> tuple[int, list[list[int]]] | None:
-    """One-step fraction-free Gauss-Jordan on an integer matrix.
-
-    Returns (det, R) with R = det * A^-1, or None when singular.  All
-    divisions are exact (entries stay bordered minors of A).
-    """
-    n = len(a)
-    m = [row[:] + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return None
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        p = m[k][k]
-        mk = m[k]
-        for i in range(n):
-            if i == k:
-                continue
-            mi = m[i]
-            f = mi[k]
-            if f:
-                for j in range(k + 1, 2 * n):
-                    mi[j] = (p * mi[j] - f * mk[j]) // prev
-                mi[k] = 0
-            else:
-                for j in range(k + 1, 2 * n):
-                    mi[j] = (p * mi[j]) // prev
-        prev = p
-    det = sign * prev
-    right = [[sign * x for x in m[i][n:]] for i in range(n)]
-    return det, right
-
-
-def full_rank_mod_prime(rows: Sequence[Sequence[Scalar]], prime: int = 2147483647) -> bool:
-    """True when the square integer matrix is invertible mod the prime.
-
-    Full rank mod a prime certifies full rank over the rationals (ranks
-    can only drop under reduction), so a True answer is exact; False is
-    inconclusive and callers should fall back or redraw.
-    """
-    n = len(rows)
-    m = [[int(x) % prime for x in r] for r in rows]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], prime - 2, prime)
-        mc = m[col]
-        for i in range(col + 1, n):
-            f = (m[i][col] * inv) % prime
-            if f:
-                mi = m[i]
-                for j in range(col, n):
-                    mi[j] = (mi[j] - f * mc[j]) % prime
-    return True

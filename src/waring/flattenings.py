@@ -7,9 +7,8 @@ point, certifies a lower bound on border rank; everything here is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactla import ExactMatrix
 from .forms import HomogForm, fraction_from_str, fraction_to_str

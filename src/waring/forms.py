@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .indexing import (
     exponents_of,
-    merge_sorted,
     monomial_tuples,
     multinomial,
     tuple_of_exponents,
@@ -326,9 +325,10 @@ def parse_polynomial(text: str, nvars: int | None = None) -> HomogForm:
 
     Terms are separated by + or -; each term is an optional rational
     coefficient and '*'-separated powers of variables x0, x1, ...  A sign
-    or '*' with nothing after it raises ValueError.  The
-    degree is the common total degree of the terms and the variable count
-    defaults to one more than the largest index used.
+    directly after a sign, two factors with no '*' between them, and a
+    sign or '*' with nothing after it raise ValueError.  The degree is the
+    common total degree of the terms and the variable count defaults to
+    one more than the largest index used.
     """
     pos = 0
     tokens: list[str] = []
@@ -363,6 +363,8 @@ def parse_polynomial(text: str, nvars: int | None = None) -> HomogForm:
                 expect_factor = True
                 k += 1
                 continue
+            if not expect_factor:
+                raise ValueError(f"'*' expected before {tok!r}")
             if re.fullmatch(r"\d+(/\d+)?", tok):
                 coeff *= Fraction(tok)
                 saw_factor = True
@@ -389,20 +391,18 @@ def parse_polynomial(text: str, nvars: int | None = None) -> HomogForm:
         terms.append((powers, coeff))
         return k
 
-    sign = Fraction(1)
+    sign = 0  # the pending sign: +1, -1, or 0 when none
     while i < len(tokens):
-        if tokens[i] == "+":
-            sign = Fraction(1)
-            i += 1
-            continue
-        if tokens[i] == "-":
-            sign = -Fraction(1)
+        if tokens[i] in ("+", "-"):
+            if sign:
+                raise ValueError(f"term expected before {tokens[i]!r}")
+            sign = -1 if tokens[i] == "-" else 1
             i += 1
             continue
         j = parse_term(i)
         powers, coeff = terms[-1]
-        terms[-1] = (powers, coeff * sign)
-        sign = Fraction(1)
+        terms[-1] = (powers, coeff * (sign or 1))
+        sign = 0
         i = j
     if tokens[-1] in ("+", "-"):
         raise ValueError(f"term expected after {tokens[-1]!r}")

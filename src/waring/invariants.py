@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -327,30 +325,18 @@ def _run_test(form: HomogForm, test: RankTest) -> TestResult:
     )
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("WARING_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def certify(form: HomogForm, r: int) -> CertificateReport:
     """Run the strategy tests for (n, d, r) on the form.
 
     EXCLUDED means some exact rank exceeded its threshold, which certifies
     that the form has border rank > r.  The report also carries the best
     certified lower bound from the catalecticant and Young flattening
-    ranks.  Tests are independent and may run concurrently (capped by
-    WARING_THREADS); the report order always follows the strategy row.
+    ranks.  Tests run one after another, in the order of the strategy row,
+    which is also the report order.
     """
     n = form.nvars - 1
     row = strategy(n, form.degree, r)
-    threads = _thread_cap()
-    if threads > 1 and len(row.tests) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = tuple(pool.map(lambda t: _run_test(form, t), row.tests))
-    else:
-        results = tuple(_run_test(form, t) for t in row.tests)
+    results = tuple(_run_test(form, t) for t in row.tests)
     lb = cat_border_rank_lb(form)
     if n == 2 or (n % 2 == 0 and form.degree % 2 == 1):
         lb = max(lb, yf_border_rank_lb(form))

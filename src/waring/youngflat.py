@@ -8,8 +8,13 @@ rank is C(n, floor(n/2)), so rank thresholds certify border-rank lower
 bounds beyond what catalecticants see.
 
 Twisted flattenings (the symmetric family for even degree and its (p, q)
-generalization) are defined by their value on powers and extended to
-arbitrary forms by expanding the form in a spanning set of d-th powers.
+generalization) are defined by their value on powers.  Every entry of that
+value at l^d is a degree-d polynomial in the coefficients of l with integer
+coefficients, so the entry at an arbitrary form is the same polynomial read
+against the form's tensor components: the matrix is a fixed contraction of
+the form, built without any basis of powers.  The power-rule extension
+through a spanning set of d-th powers (``flattening_from_power_rule``) is
+kept as an independent reference for that construction.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Sequence
 
-from .exactla import ExactMatrix, full_rank_mod_prime
+from .exactla import ExactMatrix
 from .forms import HomogForm, LinearForm, power_form, random_linear_form
 from .indexing import (
     binomial,
@@ -29,7 +34,6 @@ from .indexing import (
     merge_sorted,
     monomial_position,
     monomial_tuples,
-    multinomial,
     exponents_of,
     sorted_concat_sign,
     subset_position,
@@ -99,7 +103,6 @@ def koszul_matrix(n: int, a: int) -> KoszulPattern:
     cols = subsets(n + 1, a)
     cells = {}
     for J in rows:
-        inside = set(J)
         for pos, i in enumerate(J):
             I = tuple(x for x in J if x != i)
             cells[(J, I)] = (i, -1 if pos & 1 else 1)
@@ -245,8 +248,6 @@ class PowerBasis:
 
 def _canonical_direction(coords) -> tuple[int, ...]:
     """Primitive integer representative with positive leading entry."""
-    from math import gcd
-
     g = 0
     for c in coords:
         g = gcd(g, int(c))
@@ -264,10 +265,9 @@ def power_span_basis(
     """Random d-th powers spanning the degree-d forms exactly.
 
     Draws projectively distinct integer forms (proportional draws would
-    give identical powers), certifies spanning by full rank modulo a
-    large prime (which is exact in that direction: rank cannot grow under
-    reduction), and stores the exact inverse of the component matrix.
-    Retries with fresh draws are bounded; exhaustion is reported.
+    give identical powers) and stores the exact inverse of their component
+    matrix; a singular draw is redrawn.  Retries are bounded; exhaustion
+    is reported.
     """
     tuples = monomial_tuples(nvars, degree)
     size = len(tuples)
@@ -288,10 +288,11 @@ def power_span_basis(
             continue
         cols = [power_form(l, degree).component_vector() for l in forms]
         rows = [[cols[j][i] for j in range(size)] for i in range(size)]
-        if not full_rank_mod_prime(rows):
+        try:
+            inverse = ExactMatrix(rows).inverse()
+        except ValueError:
             continue
-        matrix = ExactMatrix(rows)
-        return PowerBasis(nvars, degree, tuple(forms), matrix.inverse())
+        return PowerBasis(nvars, degree, tuple(forms), inverse)
     raise RuntimeError(
         f"no spanning set of {size} powers found in {max_tries} tries "
         f"(nvars={nvars}, degree={degree}, seed={seed})"
@@ -330,10 +331,8 @@ def flattening_from_power_rule(
         raise ValueError("rule does not match the form")
     if basis is None:
         basis = power_span_basis(form.nvars, form.degree, seed)
-    coeffs = basis.expand(form)
-    matrices = []
-    integral = True
-    for c, l in zip(coeffs, basis.forms):
+    acc = [[Fraction(0)] * rule.ncols for _ in range(rule.nrows)]
+    for c, l in zip(basis.expand(form), basis.forms):
         if not c:
             continue
         m = rule.at_power(l)
@@ -341,39 +340,11 @@ def flattening_from_power_rule(
             raise ValueError(
                 f"rule produced shape {m.shape}, declared {rule.nrows, rule.ncols}"
             )
-        matrices.append((c, m))
-        if integral:
-            integral = all(
-                not isinstance(v, Fraction) or v.denominator == 1
-                for row in m.rows
-                for v in row
-            )
-    if integral:
-        # accumulate over a common denominator so the inner loop is integer
-        den = 1
-        for c, _ in matrices:
-            g = gcd(den, c.denominator)
-            den = den * c.denominator // g
-        acc = [[0] * rule.ncols for _ in range(rule.nrows)]
-        for c, m in matrices:
-            num = c.numerator * (den // c.denominator)
-            for i in range(rule.nrows):
-                mi = m.rows[i]
-                ai = acc[i]
-                for j in range(rule.ncols):
-                    v = mi[j]
-                    if v:
-                        ai[j] += num * int(v)
-        return ExactMatrix([[Fraction(x, den) for x in row] for row in acc])
-    facc = [[Fraction(0)] * rule.ncols for _ in range(rule.nrows)]
-    for c, m in matrices:
-        for i in range(rule.nrows):
-            mi = m.rows[i]
-            ai = facc[i]
-            for j in range(rule.ncols):
-                if mi[j]:
-                    ai[j] += c * mi[j]
-    return ExactMatrix(facc)
+        for mi, ai in zip(m.rows, acc):
+            for j, v in enumerate(mi):
+                if v:
+                    ai[j] += c * v
+    return ExactMatrix(acc)
 
 
 def young_power_rule(nvars: int, degree: int) -> PowerRule:
@@ -411,7 +382,6 @@ def _sym_power_form_matrix(base: list[list[Fraction]], t: int) -> list[list]:
     if t == 0:
         return [[Fraction(1)]]
     tuples = monomial_tuples(3, t)
-    pos = monomial_position(3, t)
     out = []
     cols = []
     for A in tuples:
@@ -478,14 +448,79 @@ def twisted_power_rule(u: int, t: int) -> PowerRule:
     return PowerRule(3, degree, size, size, at_power, name=f"twisted-u{u}-t{t}")
 
 
-def symmetric_twisted_flattening(
-    form: HomogForm, p: int, seed: int = 0
-) -> ExactMatrix:
+@lru_cache(maxsize=None)
+def _wedge_power_cells(t: int) -> tuple[tuple[tuple, ...], ...]:
+    """``_sym_power_form_matrix(_wedge_contraction(l), t)`` as polynomials
+    in l: cell [B][A] is a tuple of (kappa, c) pairs, kappa a sorted index
+    tuple of degree t and c an integer, whose value at l is the sum of
+    c * l^kappa.
+    """
+    # base[b][a] = sum over v of units[v][b][a] * l_v
+    units = [_wedge_contraction(LinearForm([int(i == v) for i in range(3)]))
+             for v in range(3)]
+    tuples = monomial_tuples(3, t)
+    cols = []
+    for A in tuples:
+        # (z monomial, l monomial) -> coefficient of prod_j sum_b base[b][a_j] z_b
+        poly: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
+        for a in A:
+            nxt: dict = {}
+            for (zm, lm), c in poly.items():
+                for b in range(3):
+                    for v in range(3):
+                        x = int(units[v][b][a])
+                        if x:
+                            key = (merge_sorted(zm, (b,)), merge_sorted(lm, (v,)))
+                            nxt[key] = nxt.get(key, 0) + c * x
+            poly = nxt
+        cols.append(poly)
+    return tuple(
+        tuple(
+            tuple((lm, _exponent_factorial(B) * c)
+                  for (zm, lm), c in sorted(poly.items()) if zm == B and c)
+            for poly in cols
+        )
+        for B in tuples
+    )
+
+
+def _contracted_twisted(form: HomogForm, u: int, t: int) -> ExactMatrix:
+    """``twisted_power_rule(u, t)`` at the form, read off its components.
+
+    At l^d the entry ((m_r, B), (m_c, A)) is l^(m_r + m_c) times wedge
+    cell [B][A], a polynomial in l of total degree d with integer
+    coefficients; by linearity its value at any form is
+    sum c * comps[sorted(m_r + m_c + kappa)] over the cell's (kappa, c).
+    """
+    cells = _wedge_power_cells(t)
+    mono = monomial_tuples(3, u)
+    comps = form.comps
+    zero = Fraction(0)
+    data = []
+    for mr in mono:
+        for cell_row in cells:
+            row = []
+            for mc in mono:
+                pair = mr + mc
+                for cell in cell_row:
+                    v = zero
+                    for kappa, c in cell:
+                        x = comps.get(tuple(sorted(pair + kappa)))
+                        if x:
+                            v += c * x
+                    row.append(v)
+            data.append(row)
+    return ExactMatrix(data)
+
+
+def symmetric_twisted_flattening(form: HomogForm, p: int) -> ExactMatrix:
     """Symmetric twisted flattening of an even-degree ternary form.
 
     Requires degree = 2p + 2; the matrix is C(p+2, 2)*6 square and
     symmetric, has rank 3 at a d-th power, and rank at most 3r on the
-    r-th secant variety.
+    r-th secant variety.  It is the contraction of the form's components
+    with the pattern of ``twisted_power_rule(p, 2)``; no basis of powers
+    is drawn.
     """
     if form.nvars != 3:
         raise ValueError("twisted flattening requires exactly 3 variables")
@@ -493,18 +528,18 @@ def symmetric_twisted_flattening(
         raise ValueError(
             f"degree {form.degree} does not match 2p+2 with p={p}"
         )
-    return flattening_from_power_rule(form, twisted_power_rule(p, 2), seed=seed)
+    return _contracted_twisted(form, p, 2)
 
 
-def q_twisted_flattening(
-    form: HomogForm, p: int, q: int, seed: int = 0
-) -> ExactMatrix:
+def q_twisted_flattening(form: HomogForm, p: int, q: int) -> ExactMatrix:
     """Twisted flattening of degree p + 4q - 1 with rank p at powers.
 
-    Built from the power rule pairing degree-2q monomial contractions
-    with the (p-1)-st symmetric power of the wedge contraction; skew for
-    even p and symmetric for odd p, so sub-Pfaffians of size rp + 2
-    (resp. minors of size rp + 1) cut the r-th secant variety.
+    The contraction of the form's components with the pattern of
+    ``twisted_power_rule(2q, p - 1)``, which pairs degree-2q monomial
+    contractions with the (p-1)-st symmetric power of the wedge
+    contraction; no basis of powers is drawn.  Skew for even p and
+    symmetric for odd p, so sub-Pfaffians of size rp + 2 (resp. minors
+    of size rp + 1) cut the r-th secant variety.
     """
     if form.nvars != 3:
         raise ValueError("twisted flattening requires exactly 3 variables")
@@ -514,7 +549,7 @@ def q_twisted_flattening(
         raise ValueError(
             f"degree {form.degree} does not match p + 4q - 1 for p={p}, q={q}"
         )
-    return flattening_from_power_rule(form, twisted_power_rule(2 * q, p - 1), seed=seed)
+    return _contracted_twisted(form, 2 * q, p - 1)
 
 
 def x_power_yf_rank(a: int, b: int, alpha: int, beta: int) -> int:

@@ -45,6 +45,7 @@ def test_decompose_quintic_cli(capsys, quintic_file):
     obj = json.loads(out)
     assert len(obj["summands"]) == 7
     assert obj["residual"] < 1e-8
+    assert obj["mode"] == "quintic"
 
 
 def test_decompose_binary_cli(capsys):
@@ -55,6 +56,7 @@ def test_decompose_binary_cli(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["exact"] is True
+    assert obj["mode"] == "binary"
 
 
 def test_decompose_wrong_mode_errors(capsys):
@@ -102,6 +104,9 @@ def test_matrix_twisted(capsys):
     obj = json.loads(out)
     assert obj["shape"] == [36, 36]
     assert obj["rank"] <= 6
+    # the build draws nothing at random, so there is no seed to pass
+    assert main(["matrix", "--kind", "twisted", "--input", _json.dumps(tpj(phi)),
+                 "--seed", "1"]) == 2
 
 
 def test_degree_series_and_lookup(capsys):

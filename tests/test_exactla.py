@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from waring.exactla import ExactMatrix, full_rank_mod_prime
+from waring.exactla import ExactMatrix
 from helpers import random_skew_matrix
 
 
@@ -146,7 +146,3 @@ def test_inverse_matches_fraction_entries():
             continue
         assert m @ m.inverse() == ExactMatrix.identity(n)
 
-
-def test_full_rank_mod_prime_certifies():
-    assert full_rank_mod_prime([[2, 0], [0, 3]])
-    assert not full_rank_mod_prime([[1, 2], [2, 4]])

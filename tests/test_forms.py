@@ -154,6 +154,11 @@ def test_parse_polynomial():
         parse_polynomial("x0 + ")
     with pytest.raises(ValueError):
         parse_polynomial("x0*")
+    # a sign right after a sign, and factors with no '*' between them
+    for text in ("- - x0", "x0 + - x1", "x0 x1", "2 3 x0"):
+        with pytest.raises(ValueError):
+            parse_polynomial(text)
+    assert parse_polynomial("-x0 + 2*x1").monomial_coeff((1, 0)) == -1
     with pytest.raises(ValueError):
         parse_polynomial("x3", nvars=2)
 

@@ -179,11 +179,3 @@ def test_certificate_json_shape():
     det_entries = [t for t in obj["tests"] if "det33" in t]
     assert det_entries and det_entries[0]["det33"] == "0"
 
-
-def test_certify_respects_thread_env(monkeypatch):
-    phi, _ = random_power_sum(3, 6, 7, seed=6)
-    monkeypatch.setenv("WARING_THREADS", "2")
-    threaded = certify(phi, 7)
-    monkeypatch.setenv("WARING_THREADS", "1")
-    serial = certify(phi, 7)
-    assert threaded.results == serial.results

@@ -203,6 +203,32 @@ def test_power_rule_basis_independence():
     assert m1 == m2
 
 
+# (flattening, (u, t) of its power rule, degree) for symmetric p = 1..4 and
+# q-twisted (p, q) = (1,1), (2,1), (3,1), (1,2), (2,2)
+TWISTED_CASES = [
+    (lambda f, p=p: symmetric_twisted_flattening(f, p), (p, 2), 2 * p + 2)
+    for p in (1, 2, 3, 4)
+] + [
+    (lambda f, p=p, q=q: q_twisted_flattening(f, p, q), (2 * q, p - 1), p + 4 * q - 1)
+    for p, q in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2))
+]
+
+
+def test_twisted_contraction_matches_power_rule():
+    """The contraction build equals the rule at powers, and on a random
+    form equals the extension of the rule through a power-span basis;
+    since powers span and both sides are linear, this pins it down."""
+    rng = random.Random(11)
+    for build, (u, t), d in TWISTED_CASES:
+        rule = twisted_power_rule(u, t)
+        for _ in range(3):
+            l = random_linear_form(rng, 3, 9)
+            assert build(power_form(l, d)) == rule.at_power(l), (u, t)
+        if d <= 6:
+            phi = random_form(3, d, seed=u + 10 * t)
+            assert build(phi) == flattening_from_power_rule(phi, rule), (u, t)
+
+
 def test_symmetric_twisted_flattening():
     for p in (1, 2, 3):
         l = random_linear_form(random.Random(p), 3, 9)
