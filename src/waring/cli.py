@@ -19,7 +19,7 @@ from .decompose import (
     decompose_binary,
     decompose_quintic,
 )
-from .flattenings import cat_matrix, cat_border_rank_lb, rank_profile
+from .flattenings import cat_matrix, rank_profile
 from .forms import (
     HomogForm,
     fraction_to_str,
@@ -103,11 +103,12 @@ def _cmd_certify(args) -> int:
 
 def _cmd_rank_profile(args) -> int:
     form = _load_form(args)
+    profile = rank_profile(form)
     payload = {
         "degree": form.degree,
         "nvars": form.nvars,
-        "profile": rank_profile(form),
-        "cat_border_rank_lb": cat_border_rank_lb(form),
+        "profile": profile,
+        "cat_border_rank_lb": max(profile),
         "yf_border_rank_lb": yf_border_rank_lb(form),
     }
     _emit_json(args, payload)

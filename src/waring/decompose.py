@@ -182,8 +182,8 @@ def decompose_binary(form: HomogForm, r: int, root_tol: float = 1e-8) -> WaringD
     if not 1 <= r <= d - 1:
         raise ValueError(f"need 1 <= r <= {d - 1}")
     m = cat_matrix(form, r)
-    rank = m.rank()
     kernel = m.kernel_basis()
+    rank = m.ncols - len(kernel)
     if rank != r or len(kernel) != 1:
         raise DecompositionError(
             f"form not of generic rank {r}: catalecticant rank {rank}, "

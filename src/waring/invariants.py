@@ -16,14 +16,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flattenings import cat_border_rank_lb, cat_matrix
+from .exactla import ExactMatrix
+from .flattenings import cat_matrix
 from .forms import HomogForm, fraction_to_str, to_polynomial_json
 from .indexing import binomial
-from .youngflat import (
-    symmetric_twisted_flattening,
-    yf_border_rank_lb,
-    young_flattening,
-)
+from .youngflat import symmetric_twisted_flattening, young_flattening
 
 REDUCIBLE_CAVEAT = (
     "rank locus may be reducible; consistency only places the form on some "
@@ -41,7 +38,10 @@ def aronhold(form: HomogForm) -> Fraction:
     """Degree-4 invariant cutting out the rank-3 locus of ternary cubics."""
     if form.nvars != 3 or form.degree != 3:
         raise ValueError("Aronhold invariant needs a ternary cubic")
-    m = young_flattening(form).matrix
+    return _aronhold_pfaffian(young_flattening(form).matrix)
+
+
+def _aronhold_pfaffian(m: ExactMatrix) -> Fraction:
     keep = [i for i in range(9) if i != ARONHOLD_DELETED_INDEX]
     return m.principal_submatrix(keep).pfaffian()
 
@@ -296,35 +296,6 @@ def _form_digest(form: HomogForm) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _run_test(form: HomogForm, test: RankTest) -> TestResult:
-    inv_name = None
-    inv_value = None
-    if test.kind == "cat":
-        m = cat_matrix(form, test.a)
-        if test.invariant == "det33":
-            inv_name, inv_value = "det33", sextic_det33(form)
-    elif test.kind == "yf":
-        m = young_flattening(form).matrix
-        if test.invariant == "aronhold":
-            inv_name, inv_value = "aronhold", aronhold(form)
-    elif test.kind == "twisted":
-        p = (form.degree - 2) // 2
-        m = symmetric_twisted_flattening(form, p)
-    else:
-        raise ValueError(f"unknown test kind {test.kind!r}")
-    rank = m.rank()
-    return TestResult(
-        label=test.label,
-        kind=test.kind,
-        shape=m.shape,
-        rank=rank,
-        threshold=test.threshold,
-        excluded=rank > test.threshold,
-        invariant_name=inv_name,
-        invariant_value=inv_value,
-    )
-
-
 def certify(form: HomogForm, r: int) -> CertificateReport:
     """Run the strategy tests for (n, d, r) on the form.
 
@@ -332,23 +303,53 @@ def certify(form: HomogForm, r: int) -> CertificateReport:
     that the form has border rank > r.  The report also carries the best
     certified lower bound from the catalecticant and Young flattening
     ranks.  Tests run one after another, in the order of the strategy row,
-    which is also the report order.
+    which is also the report order.  Each flattening is built and ranked
+    once per call: the tests, their invariants (det33, Aronhold) and the
+    lower bound all read the same matrices and ranks.
     """
     n = form.nvars - 1
-    row = strategy(n, form.degree, r)
-    results = tuple(_run_test(form, t) for t in row.tests)
-    lb = cat_border_rank_lb(form)
-    if n == 2 or (n % 2 == 0 and form.degree % 2 == 1):
-        lb = max(lb, yf_border_rank_lb(form))
+    d = form.degree
+    row = strategy(n, d, r)
+    built: dict[tuple[str, int | None], tuple[ExactMatrix, int]] = {}
+
+    def flattening(kind: str, a: int | None = None) -> tuple[ExactMatrix, int]:
+        if (kind, a) not in built:
+            if kind == "cat":
+                m = cat_matrix(form, a)
+            elif kind == "yf":
+                m = young_flattening(form).matrix
+            elif kind == "twisted":
+                m = symmetric_twisted_flattening(form, (d - 2) // 2)
+            else:
+                raise ValueError(f"unknown test kind {kind!r}")
+            built[kind, a] = (m, m.rank())
+        return built[kind, a]
+
+    results = []
+    for test in row.tests:
+        m, rank = flattening(test.kind, test.a)
+        value = None
+        if test.invariant == "det33":
+            value = m.determinant()
+        elif test.invariant == "aronhold":
+            value = _aronhold_pfaffian(m)
+        results.append(TestResult(
+            test.label, test.kind, m.shape, rank, test.threshold,
+            rank > test.threshold, test.invariant, value,
+        ))
+    lb = max(flattening("cat", a)[1] for a in range(1, d // 2 + 1))
+    if n == 2 or (n % 2 == 0 and d % 2 == 1):
+        # the Young flattening has rank C(n, n/2) at a d-th power
+        lb = max(lb, -(-flattening("yf")[1] // binomial(n, n // 2)))
     return CertificateReport(
         digest=_form_digest(form),
         n=n,
-        d=form.degree,
+        d=d,
         r=r,
         status=row.status,
         source=row.source,
         notes=row.notes,
-        results=results,
+        results=tuple(results),
         excluded=any(t.excluded for t in results),
         border_rank_lb=lb,
     )

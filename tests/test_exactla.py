@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from waring.exactla import ExactMatrix
 from helpers import random_skew_matrix
@@ -146,3 +148,28 @@ def test_inverse_matches_fraction_entries():
             continue
         assert m @ m.inverse() == ExactMatrix.identity(n)
 
+
+
+@st.composite
+def rational_matrices(draw):
+    """A product of an nr x k and a k x nc rational matrix, so rank <= k
+    and rank-deficient draws are common."""
+    nr, k, nc = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def factor(rows, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    a, b = factor(nr, k), factor(k, nc)
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)]
+            for i in range(nr)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_matrices())
+def test_rank_and_kernel_agree_with_sympy(rows):
+    m = ExactMatrix(rows)
+    rank = m.rank()
+    assert rank == sympy.Matrix(rows).rank()
+    assert rank + len(m.kernel_basis()) == m.ncols

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from waring.exactla import ExactMatrix
+from waring.flattenings import cat_border_rank_lb, cat_matrix
 from waring.forms import (
     LinearForm,
     parse_polynomial,
@@ -18,7 +19,11 @@ from waring.invariants import (
     sextic_det33,
     strategy,
 )
-from waring.youngflat import young_flattening
+from waring.youngflat import (
+    symmetric_twisted_flattening,
+    yf_border_rank_lb,
+    young_flattening,
+)
 
 
 def test_aronhold_vanishes_on_low_rank():
@@ -179,3 +184,52 @@ def test_certificate_json_shape():
     det_entries = [t for t in obj["tests"] if "det33" in t]
     assert det_entries and det_entries[0]["det33"] == "0"
 
+
+
+# (nvars, degree, r, seed): the Aronhold, quintic, twisted, det33, septic and
+# five-variable rows of the strategy table
+CERTIFY_ROWS = [
+    (3, 3, 3, 11),
+    (3, 5, 5, 12),
+    (3, 6, 7, 13),
+    (3, 6, 9, 14),
+    (3, 7, 9, 15),
+    (5, 5, 6, 16),
+]
+
+
+@pytest.mark.parametrize("nvars, d, r, seed", CERTIFY_ROWS)
+def test_certify_ranks_each_matrix_once(monkeypatch, nvars, d, r, seed):
+    ranked = []
+    rank = ExactMatrix.rank
+
+    def recording_rank(m):
+        ranked.append((m.shape, m.rows))
+        return rank(m)
+
+    phi, _ = random_power_sum(nvars, d, r, seed=seed)
+    monkeypatch.setattr(ExactMatrix, "rank", recording_rank)
+    report = certify(phi, r)
+    monkeypatch.undo()
+    repeats = len(ranked) - len(set(ranked))
+    assert repeats == 0, [shape for shape, _ in ranked]
+
+    # the report equals one computed from freshly built flattenings
+    n = nvars - 1
+    for test, result in zip(strategy(n, d, r).tests, report.results, strict=True):
+        if test.kind == "cat":
+            fresh = cat_matrix(phi, test.a)
+        elif test.kind == "yf":
+            fresh = young_flattening(phi).matrix
+        else:
+            fresh = symmetric_twisted_flattening(phi, (d - 2) // 2)
+        assert (result.shape, result.rank) == (fresh.shape, fresh.rank())
+        assert result.excluded == (result.rank > test.threshold)
+        if test.invariant == "det33":
+            assert result.invariant_value == sextic_det33(phi)
+        elif test.invariant == "aronhold":
+            assert result.invariant_value == aronhold(phi)
+    lb = cat_border_rank_lb(phi)
+    if n == 2 or (n % 2 == 0 and d % 2 == 1):
+        lb = max(lb, yf_border_rank_lb(phi))
+    assert report.border_rank_lb == lb
