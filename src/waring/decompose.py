@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import math
 from typing import Sequence
 
 import numpy as np
@@ -174,7 +175,10 @@ def decompose_binary(form: HomogForm, r: int, root_tol: float = 1e-8) -> WaringD
     polynomial that lies within 1e-6 of it, and the lifted root is divided
     out exactly before the next one is lifted, so no rational root is used
     twice.  When every root lifts, the fit is exact and verified; otherwise
-    the result is floating point with its residual.
+    the result is floating point with its residual, and info holds the
+    smallest distance between two numeric roots (min_root_separation) and
+    the condition number of the power matrix the fit solves
+    (cond_vandermonde).
     """
     if form.nvars != 2:
         raise ValueError("binary decomposition needs exactly 2 variables")
@@ -216,6 +220,10 @@ def decompose_binary(form: HomogForm, r: int, root_tol: float = 1e-8) -> WaringD
                     {"roots": [repr(z) for z in roots]},
                 )
 
+    info = {"min_root_separation": min(
+        (abs(y - z) for i, y in enumerate(roots) for z in roots[i + 1:]),
+        default=math.inf,
+    )}
     exact_roots = _lift_rational_roots(finite, roots)
     points: list[tuple] = []
     if lead_zeros == 1:
@@ -224,12 +232,13 @@ def decompose_binary(form: HomogForm, r: int, root_tol: float = 1e-8) -> WaringD
         points.extend(
             _normalize_point((u, Fraction(1))) for u in exact_roots
         )
-        return _fit_exact(form, points, d)
+        return _fit_exact(form, points, d) or _fit_numeric(form, points, d, info)
     points.extend(_normalize_point((z, 1.0)) for z in roots)
-    return _fit_numeric(form, points, d)
+    return _fit_numeric(form, points, d, info)
 
 
-def _fit_exact(form: HomogForm, points: list[tuple], d: int) -> WaringDecomposition:
+def _fit_exact(form: HomogForm, points: list[tuple], d: int) -> WaringDecomposition | None:
+    """The exact fit, verified, or None when the points do not fit."""
     tuples = monomial_tuples(form.nvars, d)
     cols = []
     for p in points:
@@ -238,11 +247,8 @@ def _fit_exact(form: HomogForm, points: list[tuple], d: int) -> WaringDecomposit
     a = ExactMatrix([[cols[j][i] for j in range(len(points))] for i in range(len(tuples))])
     rhs = form.component_vector()
     sol = a.solve(rhs)
-    if sol is None:
-        return _fit_numeric(form, points, d)
-    recon = a.mat_vec(sol)
-    if any(x != y for x, y in zip(recon, rhs)):
-        return _fit_numeric(form, points, d)
+    if sol is None or a.mat_vec(sol) != rhs:
+        return None
     summands = sorted(zip(sol, points), key=lambda cl: _sort_key(cl[1]))
     return WaringDecomposition(
         degree=d,
@@ -253,8 +259,9 @@ def _fit_exact(form: HomogForm, points: list[tuple], d: int) -> WaringDecomposit
 
 
 def _fit_numeric(
-    form: HomogForm, points: list[tuple], d: int, info: dict | None = None
+    form: HomogForm, points: list[tuple], d: int, info: dict
 ) -> WaringDecomposition:
+    """Least-squares fit; info gains cond(power matrix) as cond_vandermonde."""
     tuples = monomial_tuples(form.nvars, d)
     a = np.zeros((len(tuples), len(points)), dtype=complex)
     for j, p in enumerate(points):
@@ -266,6 +273,7 @@ def _fit_numeric(
             a[i, j] = prod
     b = np.array([complex(x) for x in form.component_vector()])
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    info["cond_vandermonde"] = float(np.linalg.cond(a))
     resid_vec = a @ sol - b
     scale = max(1e-300, float(np.max(np.abs(b))))
     residual = float(np.max(np.abs(resid_vec))) / scale
@@ -280,7 +288,7 @@ def _fit_numeric(
         summands=tuple(cleaned),
         residual=residual,
         exact=False,
-        info=info or {},
+        info=info,
     )
 
 
@@ -401,8 +409,9 @@ def decompose_quintic(form: HomogForm) -> WaringDecomposition:
       4. the common eigenvectors of A_h^-1 A_i (numpy), whose eigenvalues
          are the coordinates of the points.
     Coefficients are fit on the 21 component equations.  info holds the
-    quadrics, the chart, the condition number of A_h on its 7 columns and
-    the minimum relative eigenvalue separation.
+    quadrics, the chart, the condition number of A_h on its 7 columns, the
+    minimum relative eigenvalue separation and the condition number of the
+    power matrix of the fit (cond_vandermonde).
     """
     if form.nvars != 3 or form.degree != 5:
         raise ValueError("quintic decomposition needs a ternary quintic")

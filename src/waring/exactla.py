@@ -2,10 +2,19 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``, always
 in lowest terms with positive denominator); integers are accepted
-anywhere a scalar is and mix exactly.  Rank and determinant run
-fraction-free (Bareiss) elimination on integer rows obtained by clearing
-denominators, so no rounding can ever occur and identical inputs give
-bit-identical results.  Matrices are immutable after construction.
+anywhere a scalar is and mix exactly.  Matrices are immutable after
+construction.
+
+Every elimination except the Pfaffian runs on one integer core,
+``_eliminate``: fraction-free (Bareiss) elimination of the rows scaled to
+integers by clearing their denominators.  Its forward pass gives ``rank``
+and ``determinant``.  With its reduce-above pass it is fraction-free
+Gauss-Jordan, which leaves the rows equal to D * rref for one integer D
+(the last pivot); ``rref`` is those rows divided by D once at the end,
+and ``kernel_basis``, ``solve`` and ``inverse`` read their entries off
+them the same way.  No rounding can occur and identical inputs give
+bit-identical results.  The Pfaffian is a congruence elimination over
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -163,120 +172,49 @@ class ExactMatrix:
             scales.append(lcm)
         return out, scales
 
-    # -- rank, determinant, kernel, Pfaffian ------------------------------------
+    # -- rank, determinant, rref, kernel, solve, inverse, Pfaffian -------------
+
+    def _reduced(self) -> tuple[list[list[int]], list[int], int]:
+        """Integer rows equal to D * rref, with the pivot columns and D."""
+        m, _ = self._integer_rows()
+        pivots, d, _ = _eliminate(m, self.ncols, reduce_above=True)
+        return m, pivots, d
 
     def rank(self) -> int:
-        """Exact rank over Q via fraction-free (Bareiss) elimination.
-
-        Rows are scaled to integers first; the pivot is the first row with
-        a nonzero entry in the current column, so results are deterministic.
-        """
+        """Exact rank over Q (forward Bareiss pass only)."""
         m, _ = self._integer_rows()
-        nr, nc = self.nrows, self.ncols
-        rank = 0
-        prev = 1
-        for col in range(nc):
-            pivot_row = -1
-            for i in range(rank, nr):
-                if m[i][col]:
-                    pivot_row = i
-                    break
-            if pivot_row < 0:
-                continue
-            if pivot_row != rank:
-                m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            p = m[rank][col]
-            prow = m[rank]
-            for i in range(rank + 1, nr):
-                ri = m[i]
-                f = ri[col]
-                # every entry of the trailing block is rescaled by p/prev,
-                # even in rows with nothing to eliminate (f == 0)
-                if f:
-                    for j in range(col + 1, nc):
-                        ri[j] = (p * ri[j] - f * prow[j]) // prev
-                    ri[col] = 0
-                else:
-                    for j in range(col + 1, nc):
-                        ri[j] = (p * ri[j]) // prev
-            prev = p
-            rank += 1
-            if rank == nr:
-                break
-        return rank
+        return len(_eliminate(m, self.ncols, reduce_above=False)[0])
 
     def determinant(self) -> Fraction:
         """Exact determinant (square matrices only)."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Fraction(1)
         m, scales = self._integer_rows()
-        sign = 1
-        prev = 1
-        for col in range(n):
-            pivot_row = -1
-            for i in range(col, n):
-                if m[i][col]:
-                    pivot_row = i
-                    break
-            if pivot_row < 0:
-                return Fraction(0)
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
-                sign = -sign
-            p = m[col][col]
-            prow = m[col]
-            for i in range(col + 1, n):
-                ri = m[i]
-                f = ri[col]
-                for j in range(col + 1, n):
-                    ri[j] = (p * ri[j] - f * prow[j]) // prev
-                ri[col] = 0
-            prev = p
-        det = Fraction(sign * m[n - 1][n - 1])
+        pivots, d, sign = _eliminate(m, self.ncols, reduce_above=False)
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        det = Fraction(sign * d)
         for s in scales:
             det /= s
         return det
 
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-        m = [[Fraction(x) for x in r] for r in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.ncols):
-            pivot_row = -1
-            for i in range(r, self.nrows):
-                if m[i][col]:
-                    pivot_row = i
-                    break
-            if pivot_row < 0:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            p = m[r][col]
-            m[r] = [x / p for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][col]:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.nrows:
-                break
-        return m, pivots
+        m, pivots, d = self._reduced()
+        return [[Fraction(x, d) for x in r] for r in m], pivots
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Exact basis of the right kernel; cols - rank vectors with m @ v = 0."""
-        m, pivots = self.rref()
+        m, pivots, d = self._reduced()
         pivot_set = set(pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
-        for fc in free_cols:
+        for fc in range(self.ncols):
+            if fc in pivot_set:
+                continue
             v = [Fraction(0)] * self.ncols
             v[fc] = Fraction(1)
             for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
+                v[pc] = Fraction(-m[r][fc], d)
             basis.append(tuple(v))
         return basis
 
@@ -284,16 +222,14 @@ class ExactMatrix:
         """One exact solution of m @ x = rhs, or None when inconsistent."""
         if len(rhs) != self.nrows:
             raise ValueError("length mismatch")
-        aug = ExactMatrix(
-            [list(self.rows[i]) + [rhs[i]] for i in range(self.nrows)]
-        )
-        m, pivots = aug.rref()
+        n = self.ncols
+        aug = ExactMatrix([list(r) + [b] for r, b in zip(self.rows, rhs)])
+        m, pivots, d = aug._reduced()
+        if pivots and pivots[-1] == n:
+            return None
+        x = [Fraction(0)] * n
         for r, pc in enumerate(pivots):
-            if pc == self.ncols:
-                return None
-        x = [Fraction(0)] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = m[r][self.ncols]
+            x[pc] = Fraction(m[r][n], d)
         return x
 
     def inverse(self) -> "ExactMatrix":
@@ -304,18 +240,13 @@ class ExactMatrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        if n == 0:
-            return ExactMatrix([])
         aug = ExactMatrix(
-            [
-                list(self.rows[i]) + [1 if j == i else 0 for j in range(n)]
-                for i in range(n)
-            ]
+            [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(self.rows)]
         )
-        m, pivots = aug.rref()
+        m, pivots, d = aug._reduced()
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return ExactMatrix([row[n:] for row in m[:n]])
+        return ExactMatrix([[Fraction(x, d) for x in r[n:]] for r in m])
 
     def pfaffian(self) -> Fraction:
         """Exact Pfaffian of an even-dimensional skew-symmetric matrix.
@@ -386,3 +317,58 @@ class ExactMatrix:
     def to_float_rows(self) -> list[list[float]]:
         return [[float(x) for x in r] for r in self.rows]
 
+
+
+def _eliminate(
+    m: list[list[int]], ncols: int, reduce_above: bool
+) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
+
+    The pivot is the first row with a nonzero entry in the current column,
+    so results are deterministic.  The forward pass clears below each
+    pivot; every division by the previous pivot is exact (Sylvester's
+    identity).  With reduce_above it also clears above, which is
+    fraction-free Gauss-Jordan: every pivot then equals the last one, D,
+    and the rows equal D * rref.  Returns (pivot columns, D, sign of the
+    row permutation).
+    """
+    nr = len(m)
+    pivots: list[int] = []
+    prev = 1
+    sign = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = -1
+        for i in range(rank, nr):
+            if m[i][col]:
+                pivot_row = i
+                break
+        if pivot_row < 0:
+            continue
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            sign = -sign
+        prow = m[rank]
+        p = prow[col]
+        for i in range(rank + 1, nr):
+            ri = m[i]
+            f = ri[col]
+            # every entry of the trailing block is rescaled by p/prev,
+            # even in rows with nothing to eliminate (f == 0)
+            if f:
+                for j in range(col + 1, ncols):
+                    ri[j] = (p * ri[j] - f * prow[j]) // prev
+                ri[col] = 0
+            else:
+                for j in range(col + 1, ncols):
+                    ri[j] = (p * ri[j]) // prev
+        if reduce_above:
+            # the whole row, so earlier pivots move from prev to p as well
+            for i in range(rank):
+                f = m[i][col]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], prow)]
+        prev = p
+        pivots.append(col)
+        if rank + 1 == nr:
+            break
+    return pivots, prev, sign

@@ -121,9 +121,10 @@ def strategy(n: int, d: int, r: int) -> StrategyRow:
             notes=("secant variety fills the ambient space",),
         )
     if r == 2:
+        # for cubics the (2,1) catalecticant is the transpose of the (1,2)
+        pair = (1,) if d == 3 else (1, 2)
         return StrategyRow(
-            n, d, r,
-            (_cat_test(1, d, 2), _cat_test(2, d, 2)),
+            n, d, r, tuple(_cat_test(a, d, 2) for a in pair),
             "ideal", "second secant",
         )
     if d == 3 and r == 3:

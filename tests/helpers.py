@@ -169,3 +169,77 @@ def random_skew_matrix(n, seed, height=6):
             a[i][j] = Fraction(rng.randint(-height, height))
             a[j][i] = -a[i][j]
     return a
+
+
+# -- Fraction Gauss-Jordan: the reference for ExactMatrix's reduced reads -----
+
+
+def reference_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan in Fraction arithmetic;
+    returns (rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = -1
+        for i in range(r, nrows):
+            if m[i][col]:
+                pivot_row = i
+                break
+        if pivot_row < 0:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        p = m[r][col]
+        m[r] = [x / p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def reference_kernel(reduced):
+    """Kernel basis read off reference_rref's output, one vector per free
+    column."""
+    m, pivots = reduced
+    ncols = len(m[0]) if m else 0
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_solve(rows, rhs):
+    ncols = len(rows[0]) if rows else 0
+    m, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][ncols]
+    return x
+
+
+def reference_inverse(rows):
+    """Right half of the rref of [A | I]; ValueError when A is singular or
+    not square."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("inverse of a non-square matrix")
+    m, pivots = reference_rref(
+        [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
+    )
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in m]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -67,6 +68,17 @@ def test_binary_point_at_infinity():
     dec = decompose_binary(phi, 2)
     assert dec.exact
     assert (F(1), F(0)) in [p for _, p in dec.summands]
+
+
+def test_binary_numeric_fit_reports_conditioning():
+    # (x0 + sqrt2 x1)^4 + (x0 - sqrt2 x1)^4: irrational roots, numeric fit
+    phi = parse_polynomial("2*x0^4 + 24*x0^2*x1^2 + 8*x1^4")
+    dec = decompose_binary(phi, 2)
+    assert not dec.exact
+    assert dec.residual < 1e-12
+    for key in ("min_root_separation", "cond_vandermonde"):
+        assert math.isfinite(dec.info[key]), key
+    assert dec.info["min_root_separation"] > 0
 
 
 def test_binary_determinism():

@@ -6,7 +6,15 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from waring.exactla import ExactMatrix
-from helpers import random_skew_matrix
+from waring.flattenings import cat_matrix
+from waring.forms import random_power_sum
+from helpers import (
+    random_skew_matrix,
+    reference_inverse,
+    reference_kernel,
+    reference_rref,
+    reference_solve,
+)
 
 
 def test_rank_identity_and_zero():
@@ -149,12 +157,13 @@ def test_inverse_matches_fraction_entries():
         assert m @ m.inverse() == ExactMatrix.identity(n)
 
 
-
 @st.composite
-def rational_matrices(draw):
+def rational_matrices(draw, square=False):
     """A product of an nr x k and a k x nc rational matrix, so rank <= k
     and rank-deficient draws are common."""
     nr, k, nc = (draw(st.integers(1, 6)) for _ in range(3))
+    if square:
+        nc = nr
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
     def factor(rows, cols):
@@ -173,3 +182,104 @@ def test_rank_and_kernel_agree_with_sympy(rows):
     rank = m.rank()
     assert rank == sympy.Matrix(rows).rank()
     assert rank + len(m.kernel_basis()) == m.ncols
+
+
+def _to_fraction(x):
+    return F(int(x.p), int(x.q))
+
+
+def assert_reduced_reads_match_reference(rows, *rhs_list):
+    """rref, kernel_basis, solve and inverse equal the Fraction
+    Gauss-Jordan reference exactly (inverse: or both raise)."""
+    m = ExactMatrix(rows)
+    reduced = reference_rref(rows)
+    assert m.rref() == reduced
+    assert m.kernel_basis() == reference_kernel(reduced)
+    for rhs in rhs_list:
+        assert m.solve(rhs) == reference_solve(rows, rhs)
+    try:
+        expected = reference_inverse(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        assert m.inverse().rows == tuple(tuple(r) for r in expected)
+
+
+# (nvars, degree, split a, summands): the benchmark's apolar-kernel shapes
+APOLAR_SHAPES = (
+    (3, 6, 3, 7), (3, 8, 4, 12), (3, 9, 4, 12), (4, 5, 2, 7), (4, 6, 3, 12),
+    (4, 7, 3, 15), (5, 6, 3, 20),
+)
+
+
+@pytest.mark.parametrize("nvars, d, a, s", APOLAR_SHAPES)
+def test_reduced_reads_match_reference_on_catalecticants(nvars, d, a, s):
+    phi, _ = random_power_sum(nvars, d, s, seed=nvars * d + a, height=5)
+    rows = cat_matrix(phi, a).rows
+    # one consistent right-hand side (a column) and one generic one
+    assert_reduced_reads_match_reference(
+        rows, [r[-1] for r in rows], [F(i % 3 - 1, 2) for i in range(len(rows))]
+    )
+
+
+def test_reduced_reads_match_reference_on_edge_cases():
+    # no rows (a matrix without rows has width 0), no columns, all zero
+    for rows in ([], [[], []], [[0] * 4] * 3, [[F(0)] * 2] * 5):
+        assert_reduced_reads_match_reference(rows, [F(1)] * len(rows), [0] * len(rows))
+    for n in range(1, 5):
+        eye = ExactMatrix.identity(n).rows
+        assert_reduced_reads_match_reference(eye, [F(j, 3) for j in range(n)])
+        assert ExactMatrix(eye).inverse() == ExactMatrix.identity(n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_matrices(), st.data())
+def test_reduced_reads_match_reference(rows, data):
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    assert_reduced_reads_match_reference(rows, rhs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_matrices(square=True))
+def test_determinant_agrees_with_sympy(rows):
+    assert ExactMatrix(rows).determinant() == _to_fraction(sympy.Matrix(rows).det())
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_agrees_with_sympy(rows, data):
+    m = ExactMatrix(rows)
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if data.draw(st.booleans()):
+        # a right-hand side in the column space
+        y = data.draw(st.lists(entry, min_size=m.ncols, max_size=m.ncols))
+        rhs = m.mat_vec(y)
+    else:
+        rhs = data.draw(st.lists(entry, min_size=m.nrows, max_size=m.nrows))
+    a = sympy.Matrix(rows)
+    consistent = a.rank() == a.row_join(sympy.Matrix(rhs)).rank()
+    x = m.solve(rhs)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert m.mat_vec(x) == list(rhs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_matrices(square=True))
+def test_inverse_agrees_with_sympy(rows):
+    m = ExactMatrix(rows)
+    if sympy.Matrix(rows).det() == 0:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        assert m @ m.inverse() == ExactMatrix.identity(m.nrows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 10**6))
+def test_pfaffian_squares_to_sympy_determinant(n, seed):
+    rows = random_skew_matrix(n, seed)
+    det = _to_fraction(sympy.Matrix(rows).det()) if n else F(1)
+    assert ExactMatrix(rows).pfaffian() ** 2 == det

@@ -233,3 +233,25 @@ def test_certify_ranks_each_matrix_once(monkeypatch, nvars, d, r, seed):
     if n == 2 or (n % 2 == 0 and d % 2 == 1):
         lb = max(lb, yf_border_rank_lb(phi))
     assert report.border_rank_lb == lb
+
+
+def test_cubic_second_secant_ranks_one_catalecticant(monkeypatch):
+    # the (2,1) catalecticant of a cubic is the transpose of the (1,2)
+    row = strategy(3, 3, 2)
+    assert [(t.kind, t.a) for t in row.tests] == [("cat", 1)]
+    assert len(strategy(3, 4, 2).tests) == 2
+    calls = []
+    rank = ExactMatrix.rank
+
+    def counting_rank(m):
+        calls.append(m.shape)
+        return rank(m)
+
+    phi, _ = random_power_sum(4, 3, 2, seed=1)
+    monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
+    report = certify(phi, 2)
+    monkeypatch.undo()
+    assert calls == [(10, 4)]
+    assert [t.rank for t in report.results] == [2]
+    assert report.verdict == "CONSISTENT"
+    assert report.border_rank_lb == 2
